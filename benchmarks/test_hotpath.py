@@ -11,10 +11,10 @@ candidate in the window.
 This benchmark replays one month of daily MVPN provisioning storms
 twice through the same streaming loop:
 
-* **legacy** — the pre-optimization discipline: scalar per-candidate
-  temporal joins (``EngineConfig.batch_joins = False``) and a full
-  retrieval-cache clear on every advance
-  (``StreamingConfig.incremental = False``);
+* **legacy** — the pre-optimization discipline, run from the test
+  oracles: scalar per-candidate joins (``tests.oracles.ScalarRcaEngine``)
+  and a full retrieval-cache clear on every advance
+  (``tests.oracles.ClearCacheStreamingRca``);
 * **optimized** — the defaults: columnar batch joins over the store's
   zero-copy views plus delta-driven invalidation and horizon eviction,
   so covers built for one symptom serve every sibling symptom of the
@@ -29,7 +29,6 @@ replay's diagnosis loop — every ``advance()`` call, detection included
 — is at least 5x faster.  Results land in ``BENCH_hotpath.json``.
 """
 
-import json
 import random
 import time
 from pathlib import Path
@@ -43,6 +42,9 @@ from repro.simulation.faults import FaultInjector
 from repro.simulation.scenarios import DAY
 from repro.simulation.telemetry import BASE_EPOCH, TelemetryEmitter
 from repro.topology import TopologyParams, build_topology
+from tests.oracles import ClearCacheStreamingRca, scalar_engine
+
+from .artifacts import record
 
 BENCH_FILE = Path("BENCH_hotpath.json")
 
@@ -60,14 +62,6 @@ CHURN_SPAN = 300.0
 #: quiet-hours LSA refresh cadence
 IDLE_REFRESH = 1800.0
 GATE_SPEEDUP = 5.0
-
-
-def _record(key, payload):
-    data = {}
-    if BENCH_FILE.exists():
-        data = json.loads(BENCH_FILE.read_text())
-    data[key] = payload
-    BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _storm_month():
@@ -136,8 +130,8 @@ def _storm_month():
     return topology, stream, truths, start, end
 
 
-def _replay(topology, stream, start, end, *, batch_joins, incremental):
-    """Stream the scenario through one configuration; return results.
+def _replay(topology, stream, start, end, *, legacy):
+    """Stream the scenario through one discipline; return results.
 
     The timed section is the diagnosis loop — every ``advance()`` call,
     including symptom detection — not ingestion, which is identical
@@ -150,14 +144,13 @@ def _replay(topology, stream, start, end, *, batch_joins, incremental):
         topology, collector, config_time=start - DAY
     )
     app = PimApp.build(platform)
-    app.engine.config.batch_joins = batch_joins
+    engine = scalar_engine(app.engine) if legacy else app.engine
     # feed-health gap annotation is orthogonal to the cache/join
     # disciplines under test; disabling it keeps the loop cost honest
-    app.engine.config.health = None
-    streaming = StreamingRca(
-        app.engine,
-        StreamingConfig(incremental=incremental, reopen_horizon=1800.0),
-        start=start,
+    engine.config.health = None
+    streaming_cls = ClearCacheStreamingRca if legacy else StreamingRca
+    streaming = streaming_cls(
+        engine, StreamingConfig(reopen_horizon=1800.0), start=start
     )
     replayer = FeedReplayer(collector, stream)
     diagnoses = []
@@ -186,12 +179,8 @@ def _replay(topology, stream, start, end, *, batch_joins, incremental):
 def test_month_replay_speedup_and_equivalence(console):
     topology, stream, truths, start, end = _storm_month()
 
-    legacy = _replay(
-        topology, stream, start, end, batch_joins=False, incremental=False
-    )
-    optimized = _replay(
-        topology, stream, start, end, batch_joins=True, incremental=True
-    )
+    legacy = _replay(topology, stream, start, end, legacy=True)
+    optimized = _replay(topology, stream, start, end, legacy=False)
 
     # correctness first: the speedup must not change a single diagnosis
     assert len(optimized["diagnoses"]) == len(truths)
@@ -213,7 +202,8 @@ def test_month_replay_speedup_and_equivalence(console):
         f"speedup: {speedup:.1f}x (gate: >= {GATE_SPEEDUP:.0f}x)   "
         f"per-symptom: {per_symptom_ms:.2f} ms"
     )
-    _record(
+    record(
+        BENCH_FILE,
         "month_storm_replay",
         {
             "symptoms": len(optimized["diagnoses"]),

@@ -19,7 +19,6 @@ Results land in ``BENCH_service_chaos.json`` (one key per test) so CI
 can archive the measurements per run.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -28,16 +27,9 @@ from repro.service.faults import ServiceFaultInjector
 from repro.service.queue import JobState
 from repro.service.supervisor import SupervisorConfig
 
+from .artifacts import record
+
 BENCH_FILE = Path("BENCH_service_chaos.json")
-
-
-def _record(key, payload):
-    """Merge one test's measurements into the benchmark artifact."""
-    data = {}
-    if BENCH_FILE.exists():
-        data = json.loads(BENCH_FILE.read_text())
-    data[key] = payload
-    BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _chaos_service(result, app, workers=2):
@@ -106,7 +98,8 @@ def test_recovery_after_worker_kill(bgp_outcome, console):
         f"MTTR: {1000 * mttr:.1f} ms (sweep interval 50 ms); "
         f"jobs lost: {len(lost)}; leaked workers: {service.pool.leaked}"
     )
-    _record(
+    record(
+        BENCH_FILE,
         "crash_recovery",
         {
             "scenario": "bgp_month",
@@ -164,7 +157,8 @@ def test_supervision_overhead_is_negligible(bgp_outcome, console):
         f"{supervised_seconds:.2f} s ({100 * (overhead - 1):+.1f}%, "
         f"{sweeps} sweeps)"
     )
-    _record(
+    record(
+        BENCH_FILE,
         "supervision_overhead",
         {
             "scenario": "bgp_month",

@@ -26,21 +26,14 @@ from repro.core.serialize import instance_to_dict
 from repro.service.api import RcaService
 from repro.service.http import RcaGateway, ShardRouter, build_shards
 
+from .artifacts import record
+
 BENCH_FILE = Path("BENCH_service_http.json")
 
 STEADY_CLIENTS = 8
 STEADY_JOBS_PER_CLIENT = 25
 BURST_JOBS = 80
 BURST_QUEUE_DEPTH = 4
-
-
-def _record(key, payload):
-    """Merge one test's measurements into the benchmark artifact."""
-    data = {}
-    if BENCH_FILE.exists():
-        data = json.loads(BENCH_FILE.read_text())
-    data[key] = payload
-    BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _percentile(samples, fraction):
@@ -168,7 +161,7 @@ def test_steady_load_latency_and_throughput(bgp_outcome, console):
         f"end-to-end latency: p50 {payload['e2e_p50_ms']} ms, "
         f"p99 {payload['e2e_p99_ms']} ms"
     )
-    _record("steady_load", payload)
+    record(BENCH_FILE, "steady_load", payload)
 
 
 def test_saturation_sheds_cleanly_and_loses_nothing(bgp_outcome, console):
@@ -251,4 +244,4 @@ def test_saturation_sheds_cleanly_and_loses_nothing(bgp_outcome, console):
         f"accepted: {payload['accepted']} (all finished), "
         f"clean 429s: {payload['rejected_429']}, lost: 0"
     )
-    _record("saturation", payload)
+    record(BENCH_FILE, "saturation", payload)

@@ -17,24 +17,16 @@ Results land in ``BENCH_service.json`` (one key per test) so CI can
 archive the measurements per run.
 """
 
-import json
 import time
 from pathlib import Path
 
 from repro.service.api import RcaService
 from repro.service.workers import available_cpus, default_backend, parallel_diagnose
 
+from .artifacts import record
+
 BENCH_FILE = Path("BENCH_service.json")
 WORKER_COUNTS = (2, 4)
-
-
-def _record(key, payload):
-    """Merge one test's measurements into the benchmark artifact."""
-    data = {}
-    if BENCH_FILE.exists():
-        data = json.loads(BENCH_FILE.read_text())
-    data[key] = payload
-    BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_batch_throughput_vs_worker_count(bgp_outcome, console):
@@ -72,7 +64,8 @@ def test_batch_throughput_vs_worker_count(bgp_outcome, console):
             f"{jobs} workers: {run['seconds']:.2f} s ({run['speedup']:.2f}x)"
         )
 
-    _record(
+    record(
+        BENCH_FILE,
         "batch_throughput",
         {
             "scenario": "bgp_month",
@@ -131,7 +124,8 @@ def test_cached_repeat_run_is_near_free(bgp_outcome, console):
         f"{repeat_seconds:.3f} s ({first_seconds / repeat_seconds:.0f}x faster, "
         f"hit rate {100 * service.metrics.cache_hit_rate():.1f}%)"
     )
-    _record(
+    record(
+        BENCH_FILE,
         "cached_repeat",
         {
             "scenario": "bgp_month",

@@ -8,7 +8,8 @@ routing-epoch work against faithful copies of the seed paths:
 * **pair-join** — one symptom pair joined against every router in the
   network, repeated across many timestamps inside one routing epoch.
   The acceptance gate: the epoch-keyed resolution cache makes the loop
-  >= 5x faster than the uncached oracle (``cache_size=0``), with a hit
+  >= 5x faster than the uncached oracle
+  (``tests.oracles.UncachedResolver``), with a hit
   rate that shows the cache — not noise — did it.
 * **bgp-lookup** — longest-prefix match over a 2 000-prefix feed: the
   indexed per-length tables vs the seed full-scan (every prefix parsed
@@ -18,7 +19,6 @@ Results land in ``BENCH_spatial.json`` (one key per test) so CI can
 archive the measurements per run.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -29,21 +29,15 @@ from repro.routing.bgp import BgpEmulator, BgpUpdateLog
 from repro.routing.ospf import OspfSimulator
 from repro.routing.paths import IngressMap, PathService
 from repro.topology import TopologyParams, build_topology, snapshot_network
+from tests.oracles import UncachedResolver
+
+from .artifacts import record
 
 BENCH_FILE = Path("BENCH_spatial.json")
 
 SPEEDUP_GATE = 5.0
 N_PREFIXES = 2_000
 N_LOOKUPS = 300
-
-
-def _record(key, payload):
-    """Merge one test's measurements into the benchmark artifact."""
-    data = {}
-    if BENCH_FILE.exists():
-        data = json.loads(BENCH_FILE.read_text())
-    data[key] = payload
-    BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def build_service():
@@ -123,7 +117,7 @@ def test_cached_pair_join_speedup(console):
             best = min(best, time.perf_counter() - started)
         return best, joined
 
-    oracle = LocationResolver(service, cache_size=0)
+    oracle = UncachedResolver(service)
     cached = LocationResolver(service)
     # run the seed path first: the shared SPF cache it warms can only
     # *narrow* the measured gap
@@ -154,7 +148,7 @@ def test_cached_pair_join_speedup(console):
         f"cache: {stats['hits']} hits / {stats['misses']} misses "
         f"({100 * stats['hits'] / (stats['hits'] + stats['misses']):.1f}% hit rate)"
     )
-    _record("pair_join", payload)
+    record(BENCH_FILE, "pair_join", payload)
 
     # the acceptance gate: memoizing expansions under the routing epoch
     # beats re-simulating OSPF/BGP per candidate by >= 5x
@@ -200,7 +194,7 @@ def test_indexed_bgp_lookup(console):
         f"seed scan {seed_seconds:>8.3f} s   indexed {indexed_seconds:>8.3f} s   "
         f"speedup {speedup:.1f}x"
     )
-    _record("bgp_lookup", payload)
+    record(BENCH_FILE, "bgp_lookup", payload)
 
     # per-length hash probing must beat the full parse-and-scan
     assert speedup >= SPEEDUP_GATE

@@ -16,24 +16,16 @@ scenario) and one full span tree per scenario is exported as
 ``BENCH_trace_<scenario>.json`` for CI to archive.
 """
 
-import json
 from pathlib import Path
 
 from repro.obs import stage_breakdown, summarize_stages, trace_to_json
+
+from .artifacts import record
 
 BENCH_FILE = Path("BENCH_trace_stages.json")
 
 #: wiggle room for float summation when comparing stage sums to roots
 EPSILON = 1e-9
-
-
-def _record(key, payload):
-    """Merge one scenario's stage summary into the benchmark artifact."""
-    data = {}
-    if BENCH_FILE.exists():
-        data = json.loads(BENCH_FILE.read_text())
-    data[key] = payload
-    BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _traced_stage_summary(app, symptoms, scenario, console):
@@ -65,7 +57,8 @@ def _traced_stage_summary(app, symptoms, scenario, console):
             f"p95 {1000 * stats['p95']:8.3f} ms  ({stats['count']:.0f} samples)"
         )
 
-    _record(
+    record(
+        BENCH_FILE,
         scenario,
         {
             "symptoms": len(symptoms),

@@ -20,12 +20,13 @@ archive the measurements per run.
 """
 
 import bisect
-import json
 import time
 from pathlib import Path
 
 from repro.collector.backends import MemoryBackend, SqliteBackend
 from repro.collector.store import Record
+
+from .artifacts import record
 
 BENCH_FILE = Path("BENCH_store.json")
 
@@ -34,15 +35,6 @@ LATE_EVERY = 200  # 0.5% of records arrive ~150s late
 LATE_BY = 150.0
 ROUTERS = 20
 SPEEDUP_GATE = 5.0
-
-
-def _record(key, payload):
-    """Merge one test's measurements into the benchmark artifact."""
-    data = {}
-    if BENCH_FILE.exists():
-        data = json.loads(BENCH_FILE.read_text())
-    data[key] = payload
-    BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 class SeedBaselineTable:
@@ -168,7 +160,7 @@ def test_ingest_ordered_vs_out_of_order(tmp_path, console):
         f"memory vs seed-baseline out-of-order speedup: {speedup:.1f}x "
         f"(gate: >= {SPEEDUP_GATE}x)"
     )
-    _record("ingest", payload)
+    record(BENCH_FILE, "ingest", payload)
 
     # the acceptance gate: amortized tail merging beats per-record
     # wholesale rebuilds by >= 5x at 100k records
@@ -211,6 +203,6 @@ def test_query_indexed_vs_unindexed(tmp_path, console):
         )
         if isinstance(backend, SqliteBackend):
             backend.close()
-    _record("query", payload)
+    record(BENCH_FILE, "query", payload)
     # the hash/SQL index must beat the scan on the selective filter
     assert payload["memory"]["indexed_ms"] <= payload["memory"]["unindexed_ms"]

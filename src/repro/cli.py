@@ -39,7 +39,6 @@ import sys
 from typing import List, Optional
 
 from .apps import BackboneApp, BgpFlapApp, CdnApp, PimApp, register_bgp_events
-from .apps.studies import cpu_correlation_study
 from .core.knowledge import KnowledgeLibrary
 from .core.rulespec import RuleSpecError, SpecCompiler
 from .simulation import (
@@ -369,6 +368,9 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    # the mining study needs numpy; every other subcommand runs without
+    from .apps.studies import cpu_correlation_study
+
     result = cpu_bgp_study(seed=args.seed, duration_days=args.days)
     app = BgpFlapApp.build(result.platform())
     diagnoses = app.engine.diagnose_all(app.find_symptoms(result.start, result.end))

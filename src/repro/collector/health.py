@@ -361,6 +361,11 @@ class FeedReader:
     fail fast with :class:`CircuitOpenError` until ``reset_timeout``
     passes and a half-open probe is allowed.  No batch is ever dropped
     silently: a poll either returns the transport's lines or raises.
+
+    The breaker is a :class:`~repro.service.policy.CircuitBreaker` and
+    the backoff delays come from a
+    :class:`~repro.service.policy.RetryPolicy` drawing jitter from the
+    reader's own ``rng``.
     """
 
     def __init__(
@@ -373,85 +378,79 @@ class FeedReader:
         rng: Optional[random.Random] = None,
         registry: Optional[HealthRegistry] = None,
     ) -> None:
+        # lazy import: the service layer imports the engine, which
+        # imports this module
+        from ..service.policy import CircuitBreaker, RetryPolicy
+
         self.source = source
         self.transport = transport
-        self.config = config or RetryConfig()
+        self.config = config = config or RetryConfig()
         self.clock = clock
         self.sleep = sleep
         self.rng = rng or random.Random(source)
         self.registry = registry
-        self.consecutive_failures = 0
-        self._opened_at: Optional[float] = None
+        self.breaker = CircuitBreaker(
+            failure_threshold=config.failure_threshold,
+            reset_timeout=config.reset_timeout,
+            clock=clock,
+        )
+        self.backoff = RetryPolicy(
+            max_attempts=config.max_attempts,
+            backoff_base=config.backoff_base,
+            backoff_factor=config.backoff_factor,
+            backoff_max=config.backoff_max,
+            jitter=config.jitter,
+            rng=self.rng,
+        )
+
+    @property
+    def consecutive_failures(self) -> int:
+        return self.breaker.consecutive_failures
 
     @property
     def circuit_open(self) -> bool:
-        """True while the breaker refuses polls (before the probe time)."""
-        return self._opened_at is not None
+        """True from the breaker opening until a probe succeeds."""
+        return self.breaker.state() != "closed"
 
     def poll(self) -> List[str]:
         """One read through retry/backoff; raises when the feed is down."""
-        if self._opened_at is not None:
-            if self.clock() - self._opened_at < self.config.reset_timeout:
-                raise CircuitOpenError(
-                    f"feed {self.source!r}: circuit open, next probe in "
-                    f"{self.config.reset_timeout - (self.clock() - self._opened_at):.0f}s"
-                )
-            # half-open: allow exactly one probe attempt, no retries
-            return self._attempt_probe()
-        delay = self.config.backoff_base
+        breaker = self.breaker
+        probing = breaker.state() != "closed"
+        if probing and not breaker.allow():
+            raise CircuitOpenError(
+                f"feed {self.source!r}: circuit open, next probe "
+                f"{breaker.reset_timeout:.0f}s after the last failure"
+            )
+        # half-open: allow exactly one probe attempt, no retries
+        attempts = 1 if probing else self.config.max_attempts
         last_error: Optional[BaseException] = None
-        for attempt in range(self.config.max_attempts):
+        for attempt in range(1, attempts + 1):
             try:
                 lines = list(self.transport())
             except Exception as exc:  # noqa: BLE001 - transport is arbitrary
                 last_error = exc
-                self.consecutive_failures += 1
-                if self.consecutive_failures >= self.config.failure_threshold:
-                    self._open_circuit()
+                # a failed probe stays open and restarts the timer
+                if breaker.record_failure():
+                    if probing:
+                        raise CircuitOpenError(
+                            f"feed {self.source!r}: half-open probe failed"
+                        ) from exc
+                    if self.registry is not None:
+                        self.registry.mark_down(self.source, self.clock())
                     raise CircuitOpenError(
-                        f"feed {self.source!r}: {self.consecutive_failures} "
+                        f"feed {self.source!r}: {breaker.consecutive_failures} "
                         f"consecutive failures, circuit opened"
                     ) from exc
-                if attempt + 1 < self.config.max_attempts:
-                    self.sleep(self._backoff_delay(delay))
-                    delay = min(
-                        delay * self.config.backoff_factor, self.config.backoff_max
-                    )
+                if attempt < attempts:
+                    self.sleep(self.backoff.delay(attempt))
                 continue
-            self._note_success()
+            breaker.record_success()
+            if probing and self.registry is not None:
+                self.registry.mark_restored(self.source, self.clock())
             return lines
         raise FeedReadError(
-            f"feed {self.source!r}: {self.config.max_attempts} attempts failed"
+            f"feed {self.source!r}: {attempts} attempts failed"
         ) from last_error
-
-    # ------------------------------------------------------------------
-
-    def _attempt_probe(self) -> List[str]:
-        try:
-            lines = list(self.transport())
-        except Exception as exc:  # noqa: BLE001
-            self.consecutive_failures += 1
-            self._opened_at = self.clock()  # stay open, restart the timer
-            raise CircuitOpenError(
-                f"feed {self.source!r}: half-open probe failed"
-            ) from exc
-        self._note_success()
-        return lines
-
-    def _note_success(self) -> None:
-        self.consecutive_failures = 0
-        if self._opened_at is not None:
-            self._opened_at = None
-            if self.registry is not None:
-                self.registry.mark_restored(self.source, self.clock())
-
-    def _open_circuit(self) -> None:
-        self._opened_at = self.clock()
-        if self.registry is not None:
-            self.registry.mark_down(self.source, self.clock())
-
-    def _backoff_delay(self, delay: float) -> float:
-        return delay * (1.0 + self.config.jitter * self.rng.random())
 
 
 # ---------------------------------------------------------------------------

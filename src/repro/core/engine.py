@@ -398,10 +398,6 @@ class EngineConfig:
     max_matches_per_rule: int = 50
     #: feed-health registry consulted for evidence gaps (None disables)
     health: Optional[HealthRegistry] = None
-    #: evaluate temporal joins as sorted-array batch operations; False
-    #: restores the per-candidate scalar loop (the verification oracle
-    #: and the legacy baseline the hot-path benchmark measures against)
-    batch_joins: bool = True
 
 
 class RcaEngine:
@@ -673,16 +669,15 @@ class RcaEngine:
         span contexts are no-ops on the null tracer, and span arguments
         (labels, rule identity strings) are only built when tracing is
         on.  The stages — retrieve the cover's candidate set once, batch
-        temporal mask over its sorted interval columns, then the batch
-        spatial join over temporal survivors only, materializing matched
-        instances last — are identical either way, with per-stage
-        counters (``candidates`` / ``temporal_survivors`` /
-        ``spatial_survivors``) annotated on the ``rule`` span.
+        temporal mask over its sorted interval columns, then the
+        columnar spatial stage over temporal survivors only,
+        materializing matched instances last — are identical either
+        way, with aggregate funnel counts (``candidates`` /
+        ``temporal_survivors`` / ``spatial_survivors``) annotated on the
+        ``rule`` span.
         """
         window = rule.temporal.search_window(parent_instance.interval)
-        traced = tracer.enabled
-        trace = tracer if traced else None
-        if traced:
+        if tracer.enabled:
             label = f"{rule.parent_event} -> {rule.child_event}"
             rule_args = dict(
                 label=label,
@@ -699,60 +694,24 @@ class RcaEngine:
             candidates = self._retrieve(
                 rule.child_event, window, tracer, plan, cancel
             )
-            instances = candidates.instances
             with tracer.span("temporal-join", **stage_args) as span:
-                if self.config.batch_joins:
-                    survivors = rule.temporal.joined_batch(
-                        parent_instance.interval, candidates.columns
-                    )
-                else:
-                    # scalar oracle: the original per-candidate loop,
-                    # prefiltered to the search window exactly as the
-                    # pre-columnar retrieval path did
-                    lo, hi = window
-                    survivors = [
-                        k
-                        for k, instance in enumerate(instances)
-                        if instance.end >= lo
-                        and instance.start <= hi
-                        and rule.temporal.joined(
-                            parent_instance.interval,
-                            instance.interval,
-                            trace=trace,
-                        )
-                    ]
-                span.annotate(candidates=len(instances), joined=len(survivors))
+                survivors = rule.temporal.joined_batch(
+                    parent_instance.interval, candidates.columns
+                )
+                span.annotate(candidates=len(candidates), joined=len(survivors))
             matched: List[EventInstance] = []
             with tracer.span("spatial-join", **stage_args) as span:
                 batch = rule.spatial.batch(
-                    self.resolver,
-                    parent_instance.location,
-                    parent_instance.start,
-                    trace=trace,
+                    self.resolver, parent_instance.location, parent_instance.start
                 )
-                cap = self.config.max_matches_per_rule
-                if traced or not self.config.batch_joins:
-                    # the original per-survivor verdicts: traced runs
-                    # need their per-candidate counters to fire, and
-                    # the scalar oracle keeps the pre-columnar cost
-                    # shape it is benchmarked (and property-tested)
-                    # against
-                    for k in survivors:
-                        instance = instances[k]
-                        if not batch.joined(instance.location):
-                            continue
-                        matched.append(instance)
-                        if len(matched) >= cap:
-                            break
-                else:
-                    self._spatial_stage(
-                        rule, parent_instance, candidates, survivors,
-                        batch, matched, cap,
-                    )
+                self._spatial_stage(
+                    rule, parent_instance, candidates, survivors, batch,
+                    matched, self.config.max_matches_per_rule,
+                )
                 span.annotate(candidates=len(survivors), joined=len(matched))
             rule_span.annotate(
                 matched=len(matched),
-                candidates=len(instances),
+                candidates=len(candidates),
                 temporal_survivors=len(survivors),
                 spatial_survivors=len(matched),
             )
@@ -768,7 +727,7 @@ class RcaEngine:
         matched: List[EventInstance],
         cap: int,
     ) -> None:
-        """Columnar spatial join over the temporal survivors (batch mode).
+        """Columnar spatial join over the temporal survivors.
 
         For epoch-static location columns the cover's expansion map
         (:meth:`CandidateSet.static_expansions`) replaces per-candidate

@@ -105,9 +105,9 @@ class LocationResolver:
     measured; without the lookback those joins would be missed.
 
     ``cache_size`` bounds the routing-epoch resolution cache (LRU over
-    ``(location, level, epoch)``); ``0`` disables memoization entirely
-    — every expansion recomputes, which is the oracle the cached path
-    is property-tested against.  The cache (and its counters) is
+    ``(location, level, epoch)``; at least one entry).  The uncached
+    oracle the cache is property-tested against lives with the tests
+    (``tests/oracles/spatial.py``).  The cache (and its counters) is
     thread-safe: one resolver is shared by every worker engine.
     """
 
@@ -118,6 +118,8 @@ class LocationResolver:
         cache_size: int = DEFAULT_CACHE_SIZE,
         epoch: Optional[RoutingEpoch] = None,
     ) -> None:
+        if cache_size < 1:
+            raise ValueError("cache_size must be at least 1")
         self.paths = paths
         self.network = paths.network
         self.path_lookback = path_lookback
@@ -186,7 +188,6 @@ class LocationResolver:
         location: Location,
         level: JoinLevel,
         timestamp: float,
-        trace=None,
     ) -> FrozenSet[str]:
         """Join-level identifiers related to ``location`` at ``timestamp``.
 
@@ -194,10 +195,6 @@ class LocationResolver:
         IP absent from configs) expand to the empty set: they simply
         cannot join, which is how "outside of our network" outcomes
         arise (Table VI).
-
-        ``trace`` (a :class:`repro.obs.Tracer`, optional) receives
-        ``spatial_cache_hits`` / ``spatial_cache_misses`` counters on
-        its current span when the resolution cache is enabled.
         """
         level = _LEVEL_CANONICAL.get(level, level)
         if level is JoinLevel.NETWORK:
@@ -207,8 +204,6 @@ class LocationResolver:
         handler = _HANDLERS.get(location.type)
         if handler is None:  # pragma: no cover - all types handled
             return _EMPTY
-        if self._cache_size <= 0:
-            return self._compute(handler, location, level, timestamp)
         epoch = self._epoch_key(location, timestamp)
         key = (location, level, epoch)
         with self._lock:
@@ -216,14 +211,14 @@ class LocationResolver:
             if cached is not None:
                 self._cache.move_to_end(key)
                 self._hits += 1
-                if trace is not None:
-                    trace.count("spatial_cache_hits")
                 return cached
-        result = self._compute(handler, location, level, timestamp)
+        try:
+            result = handler(self, location, level, timestamp)
+        except KeyError:
+            # stale location (element no longer in / never in topology)
+            result = _EMPTY
         with self._lock:
             self._misses += 1
-            if trace is not None:
-                trace.count("spatial_cache_misses")
             identity = (location, level)
             previous = self._last_epoch.get(identity)
             if previous is not None and previous != epoch:
@@ -241,15 +236,6 @@ class LocationResolver:
                 if self._last_epoch.get(old_identity) == old_key[2]:
                     del self._last_epoch[old_identity]
         return result
-
-    def _compute(
-        self, handler, location: Location, level: JoinLevel, timestamp: float
-    ) -> FrozenSet[str]:
-        try:
-            return handler(self, location, level, timestamp)
-        except KeyError:
-            # stale location (element no longer in / never in topology)
-            return _EMPTY
 
     def expand_static_map(
         self,
@@ -285,27 +271,14 @@ class LocationResolver:
         diagnostic_location: Location,
         level: JoinLevel,
         timestamp: float,
-        trace=None,
     ) -> bool:
-        """True when the two locations share a join-level identifier.
-
-        ``trace`` (a :class:`repro.obs.Tracer`, optional) receives a
-        ``location_expansions`` counter per expansion performed, so
-        traced diagnoses show how much location-conversion work each
-        spatial join cost (the short-circuit on an empty symptom set
-        is visible as one expansion instead of two).
-        """
-        symptom_set = self.expand(symptom_location, level, timestamp, trace=trace)
-        if trace is not None:
-            trace.count("location_expansions")
+        """True when the two locations share a join-level identifier."""
+        symptom_set = self.expand(symptom_location, level, timestamp)
         if not symptom_set:
             return False
-        diagnostic_set = self.expand(
-            diagnostic_location, level, timestamp, trace=trace
+        return not symptom_set.isdisjoint(
+            self.expand(diagnostic_location, level, timestamp)
         )
-        if trace is not None:
-            trace.count("location_expansions")
-        return not symptom_set.isdisjoint(diagnostic_set)
 
     # ------------------------------------------------------------------
     # per-location-type expansions
@@ -622,10 +595,7 @@ class BatchSpatialJoin:
     intersects each candidate's expansion against that one set.
     """
 
-    __slots__ = (
-        "rule", "resolver", "timestamp", "trace", "_symptom",
-        "_symptom_set",
-    )
+    __slots__ = ("rule", "resolver", "timestamp", "_symptom", "_symptom_set")
 
     def __init__(
         self,
@@ -633,7 +603,6 @@ class BatchSpatialJoin:
         resolver: LocationResolver,
         symptom_location: Location,
         timestamp: float,
-        trace=None,
     ) -> None:
         if symptom_location.type is not rule.symptom_type:
             raise ValueError(
@@ -643,7 +612,6 @@ class BatchSpatialJoin:
         self.rule = rule
         self.resolver = resolver
         self.timestamp = timestamp
-        self.trace = trace
         self._symptom = symptom_location
         self._symptom_set: Optional[FrozenSet[str]] = None
 
@@ -652,41 +620,25 @@ class BatchSpatialJoin:
         """The symptom expansion, computed on first use."""
         if self._symptom_set is None:
             self._symptom_set = self.resolver.expand(
-                self._symptom, self.rule.level, self.timestamp, trace=self.trace
+                self._symptom, self.rule.level, self.timestamp
             )
-            if self.trace is not None:
-                self.trace.count("location_expansions")
         return self._symptom_set
 
     def joined(self, diagnostic_location: Location) -> bool:
-        """True when a candidate shares a join-level identifier.
-
-        Counter semantics mirror :meth:`SpatialJoinRule.joined` —
-        ``spatial_evals`` / ``spatial_rejects`` per candidate and one
-        ``location_expansions`` per expansion actually performed — so
-        traced diagnoses show the batched symptom expansion as a single
-        conversion instead of one per candidate.
-        """
+        """True when a candidate shares a join-level identifier."""
         if diagnostic_location.type is not self.rule.diagnostic_type:
             raise ValueError(
                 f"diagnostic location is {diagnostic_location.type.value}, "
                 f"rule expects {self.rule.diagnostic_type.value}"
             )
         symptom_set = self.symptom_set
-        verdict = False
-        if symptom_set:
-            diagnostic_set = self.resolver.expand(
-                diagnostic_location, self.rule.level, self.timestamp,
-                trace=self.trace,
+        if not symptom_set:
+            return False
+        return not symptom_set.isdisjoint(
+            self.resolver.expand(
+                diagnostic_location, self.rule.level, self.timestamp
             )
-            if self.trace is not None:
-                self.trace.count("location_expansions")
-            verdict = not symptom_set.isdisjoint(diagnostic_set)
-        if self.trace is not None:
-            self.trace.count("spatial_evals")
-            if not verdict:
-                self.trace.count("spatial_rejects")
-        return verdict
+        )
 
 
 @dataclass(frozen=True)
@@ -713,10 +665,9 @@ class SpatialJoinRule:
         resolver: LocationResolver,
         symptom_location: Location,
         timestamp: float,
-        trace=None,
     ) -> BatchSpatialJoin:
         """A reusable join with the symptom side expanded only once."""
-        return BatchSpatialJoin(self, resolver, symptom_location, timestamp, trace)
+        return BatchSpatialJoin(self, resolver, symptom_location, timestamp)
 
     def joined(
         self,
@@ -724,15 +675,11 @@ class SpatialJoinRule:
         symptom_location: Location,
         diagnostic_location: Location,
         timestamp: float,
-        trace=None,
     ) -> bool:
         """True when the two locations share a join-level identifier.
 
-        ``trace`` (a :class:`repro.obs.Tracer`, optional) receives
-        ``spatial_evals`` / ``spatial_rejects`` counters on its current
-        span, plus the resolver's ``location_expansions`` and cache
-        hit/miss counters.  One-shot form of :meth:`batch`.
+        One-shot form of :meth:`batch`.
         """
-        return self.batch(resolver, symptom_location, timestamp, trace).joined(
+        return self.batch(resolver, symptom_location, timestamp).joined(
             diagnostic_location
         )

@@ -26,6 +26,7 @@ Overload is expressed in HTTP, not by blocking the socket:
 * wedged shard / queue closed           → ``503``
 * unknown app or job id                 → ``404``
 * malformed request                     → ``400``
+* body over :data:`MAX_BODY_BYTES`      → ``413``
 
 Each connection is served by its own thread
 (:class:`~http.server.ThreadingHTTPServer`), so a long-poll on one
@@ -49,6 +50,11 @@ from .router import ShardRouter, ShardUnavailable
 #: default: clients wanting longer simply poll again — unbounded waits
 #: would pin one handler thread per slow job forever.
 MAX_WAIT_SECONDS = 30.0
+
+#: Largest accepted request body (bytes).  A bound, not a setting: a
+#: diagnosis batch is a few hundred bytes per symptom, and the body is
+#: read whole into memory before it is parsed.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Suggested client back-off on 429/503 responses (seconds).
 RETRY_AFTER_SECONDS = 1
@@ -130,6 +136,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", str(retry_after))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -139,7 +147,16 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        # a body left unread would be parsed as the next request, so
+        # every refusal here also closes the connection
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            self.close_connection = True
+            raise ApiError(400, "Content-Length must be a non-negative integer")
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ApiError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ApiError(400, "request body required")

@@ -14,14 +14,14 @@ vocabulary for *how to fail*:
   forever).  Injectors and backends can subclass
   :class:`TransientError` to opt into retries explicitly.
 * :class:`RetryPolicy` — bounded attempts with exponential backoff plus
-  deterministic jitter (injectable RNG), mirroring the collector's
-  :class:`~repro.collector.health.RetryConfig` semantics at job level.
-* :class:`CircuitBreaker` — the :class:`~repro.collector.health.FeedReader`
-  breaker pattern extracted into a reusable guard: N consecutive
-  failures open the circuit, calls fail fast until ``reset_timeout``
-  passes, then one half-open probe decides.  Used by
-  :class:`~repro.collector.backends.BreakerBackend` to wrap
-  :class:`~repro.collector.backends.StorageBackend` reads.
+  deterministic jitter (injectable RNG); also the backoff schedule of
+  the collector's :class:`~repro.collector.health.FeedReader`.
+* :class:`CircuitBreaker` — a reusable guard: N consecutive failures
+  open the circuit, calls fail fast until ``reset_timeout`` passes,
+  then one half-open probe decides.  Guards feed transports in
+  :class:`~repro.collector.health.FeedReader` and
+  :class:`~repro.collector.backends.StorageBackend` reads in
+  :class:`~repro.collector.backends.BreakerBackend`.
 * :class:`BrownoutController` — watches queue-wait p99 and the
   deadline-miss rate; past thresholds the service enters ``DEGRADED``
   (shed low-priority jobs, trim exploration depth and tracing) and
@@ -200,14 +200,13 @@ class RetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# circuit breaker (the FeedReader pattern, extracted)
+# circuit breaker
 
 
 class CircuitBreaker:
     """Consecutive-failure breaker with half-open probes.
 
-    The state machine is the one :class:`~repro.collector.health.FeedReader`
-    runs for feed transports: ``closed`` (normal) -> ``open`` after
+    The state machine: ``closed`` (normal) -> ``open`` after
     ``failure_threshold`` consecutive failures (calls refused) ->
     ``half-open`` after ``reset_timeout`` (one probe allowed; success
     closes, failure re-opens and restarts the timer).

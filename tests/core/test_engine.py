@@ -14,6 +14,7 @@ from repro.core.graph import DiagnosisGraph, DiagnosisRule
 from repro.core.locations import Location, LocationType
 from repro.core.spatial import JoinLevel, SpatialJoinRule
 from repro.core.temporal import ExpandOption, TemporalExpansion, TemporalJoinRule
+from tests.oracles import scalar_engine
 
 
 def store_backed_event(name, table, location_type=LocationType.ROUTER):
@@ -375,7 +376,7 @@ class TestRetrievalEviction:
 
 
 class TestColumnarSpatialStage:
-    """Batch-mode spatial join: columnar path vs the scalar oracle."""
+    """The columnar spatial stage vs the scalar oracle engine."""
 
     def populate(self, store, routers, base=1000.0, per_router=4):
         t = base
@@ -393,11 +394,8 @@ class TestColumnarSpatialStage:
             store, ["nyc-per1", "nyc-per2", "chi-per1", "bos-per1"]
         )
         symptom = symptom_at(1000.0)
-        engine.config.batch_joins = True
         batch = engine.diagnose(symptom)
-        engine.clear_cache()
-        engine.config.batch_joins = False
-        scalar = engine.diagnose(symptom)
+        scalar = scalar_engine(engine).diagnose(symptom)
         assert self.matched_events(batch) == self.matched_events(scalar)
         # only the symptom router's candidates survive the router join
         locations = {
@@ -412,11 +410,8 @@ class TestColumnarSpatialStage:
         self.populate(store, ["nyc-per1", "chi-per1"], per_router=9)
         engine.config.max_matches_per_rule = 5
         symptom = symptom_at(1000.0)
-        engine.config.batch_joins = True
         batch = engine.diagnose(symptom)
-        engine.clear_cache()
-        engine.config.batch_joins = False
-        scalar = engine.diagnose(symptom)
+        scalar = scalar_engine(engine).diagnose(symptom)
         assert self.matched_events(batch) == self.matched_events(scalar)
         assert (
             len([e for e in batch.evidence if e.rule.child_event == "a"]) == 5

@@ -3,9 +3,11 @@
 import threading
 
 from repro.core.locations import Location, LocationType
+import pytest
+
 from repro.core.spatial import JoinLevel, LocationResolver, SpatialJoinRule
-from repro.obs import Tracer
 from repro.routing.ospf import WeightChange
+from tests.oracles import UncachedResolver
 
 T = 1000.0
 
@@ -40,15 +42,11 @@ class TestCacheHitsAndMisses:
         resolver.expand(loc, JoinLevel.INTERFACE, T)
         assert resolver.cache_stats()["misses"] == 2
 
-    def test_disabled_cache_never_counts(self, path_service):
-        resolver = make_resolver(path_service, cache_size=0)
-        loc = Location.router("nyc-per1")
-        resolver.expand(loc, JoinLevel.ROUTER, T)
-        resolver.expand(loc, JoinLevel.ROUTER, T)
-        stats = resolver.cache_stats()
-        assert stats["hits"] == 0
-        assert stats["misses"] == 0
-        assert stats["size"] == 0
+    def test_zero_capacity_is_rejected(self, path_service):
+        # the cache cannot be switched off: the uncached oracle lives
+        # in tests/oracles instead
+        with pytest.raises(ValueError):
+            make_resolver(path_service, cache_size=0)
 
     def test_clear_cache_forces_recompute(self, path_service):
         resolver = make_resolver(path_service)
@@ -138,18 +136,6 @@ class TestEviction:
         assert stats["hits"] == 2
 
 
-class TestTraceCounters:
-    def test_cache_counters_land_on_open_span(self, path_service):
-        resolver = make_resolver(path_service)
-        loc = Location.router("nyc-per1")
-        tracer = Tracer()
-        with tracer.span("spatial-join", label="test") as span:
-            resolver.expand(loc, JoinLevel.ROUTER, T, trace=tracer)
-            resolver.expand(loc, JoinLevel.ROUTER, T, trace=tracer)
-        assert span.meta["spatial_cache_misses"] == 1
-        assert span.meta["spatial_cache_hits"] == 1
-
-
 class TestBatchJoin:
     def test_batch_matches_one_shot_joins(self, path_service, small_topology):
         resolver = make_resolver(path_service)
@@ -160,7 +146,7 @@ class TestBatchJoin:
         candidates = [
             Location.router(name) for name in sorted(small_topology.network.routers)
         ]
-        oracle = LocationResolver(path_service, cache_size=0)
+        oracle = UncachedResolver(path_service)
         batch = rule.batch(resolver, symptom, T)
         for candidate in candidates:
             assert batch.joined(candidate) == rule.joined(
@@ -181,8 +167,6 @@ class TestBatchJoin:
         assert resolver.cache_stats()["misses"] == 5
 
     def test_batch_rejects_wrong_types(self, path_service):
-        import pytest
-
         rule = SpatialJoinRule(
             LocationType.INGRESS_EGRESS, LocationType.ROUTER, JoinLevel.ROUTER
         )

@@ -11,6 +11,7 @@ from repro.platform import GrcaPlatform
 from repro.simulation.faults import FaultInjector
 from repro.simulation.telemetry import BASE_EPOCH, TelemetryEmitter
 from repro.topology import TopologyParams, build_topology
+from tests.oracles import ClearCacheStreamingRca
 
 
 def make_live_setup():
@@ -269,18 +270,19 @@ class TestBatchDispatcher:
         assert streaming.advance(t0 + 30000.0) == []
 
 
-def _staged_run(setup, config, withhold=None):
+def _staged_run(setup, config, withhold=None, streaming_cls=StreamingRca):
     """Drive a streaming run in 900 s ticks; return (rca, diagnoses).
 
     ``withhold`` keeps matching telemetry lines out of the replay; the
-    caller delivers them late by hand.
+    caller delivers them late by hand.  ``streaming_cls`` swaps in an
+    oracle discipline.
     """
     _topo, app, replayer, _truths, t0 = setup
     if withhold is not None:
         replayer._stream = [
             entry for entry in replayer._stream if not withhold(entry)
         ]
-    streaming = StreamingRca(app.engine, config, start=t0 - 600.0)
+    streaming = streaming_cls(app.engine, config, start=t0 - 600.0)
     collected = []
     now = t0 - 600.0
     while now < t0 + 20000.0:
@@ -300,10 +302,11 @@ class TestIncrementalRediagnosis:
         # invalidation path must be observationally identical to
         # clear-everything-per-advance
         legacy, by_legacy = _staged_run(
-            make_live_setup(), StreamingConfig(incremental=False)
+            make_live_setup(), StreamingConfig(),
+            streaming_cls=ClearCacheStreamingRca,
         )
         incremental, by_incremental = _staged_run(
-            make_live_setup(), StreamingConfig(incremental=True)
+            make_live_setup(), StreamingConfig()
         )
         assert not legacy._subscribed and incremental._subscribed
         assert by_incremental == by_legacy  # byte-identical diagnoses
@@ -313,11 +316,11 @@ class TestIncrementalRediagnosis:
         # fresh or re-opened symptom can ever request again; eviction
         # is pure cache policy, so the stream must stay byte-identical
         _legacy, by_legacy = _staged_run(
-            make_live_setup(), StreamingConfig(incremental=False)
+            make_live_setup(), StreamingConfig(),
+            streaming_cls=ClearCacheStreamingRca,
         )
         streaming, collected = _staged_run(
-            make_live_setup(),
-            StreamingConfig(incremental=True, reopen_horizon=900.0),
+            make_live_setup(), StreamingConfig(reopen_horizon=900.0)
         )
         assert streaming.evicted_count > 0
         assert collected == by_legacy

@@ -19,6 +19,7 @@ import os
 import pytest
 
 from repro.apps import BgpFlapApp, CdnApp, PimApp
+from repro.core.engine import RcaEngine
 from repro.simulation import bgp_month, cdn_month, pim_fortnight
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -93,3 +94,33 @@ def test_trace_shape_is_deterministic(name):
     # two fresh runs of the same seeded scenario produce identical
     # shapes — the precondition for golden pinning to be meaningful
     assert scenario_shape_document(name) == scenario_shape_document(name)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_traced_run_takes_the_untraced_path(name, monkeypatch):
+    # tracing observes the production join path, it never selects
+    # another: both runs go through the columnar spatial stage equally
+    # often and reach equal diagnoses
+    calls = []
+    original = RcaEngine._spatial_stage
+
+    def spy(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RcaEngine, "_spatial_stage", spy)
+
+    def run(traced):
+        build_scenario, app_cls = SCENARIOS[name]
+        result = build_scenario()
+        app = app_cls.build(result.platform())
+        symptoms = app.find_symptoms(result.start, result.end)
+        before = len(calls)
+        diagnoses = app.engine.diagnose_all(symptoms, traced=traced)
+        return diagnoses, len(calls) - before
+
+    untraced, untraced_calls = run(False)
+    traced, traced_calls = run(True)
+    assert untraced_calls > 0
+    assert traced_calls == untraced_calls
+    assert traced == untraced

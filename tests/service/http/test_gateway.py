@@ -3,6 +3,7 @@ overload semantics, and HTTP plumbing (keep-alive, ephemeral ports)."""
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.engine import Diagnosis
 from repro.core.serialize import instance_to_dict
 from repro.service import RcaService
 from repro.service.http import RcaGateway, ShardRouter
+from repro.service.http.gateway import MAX_BODY_BYTES
 from repro.service.policy import ServiceHealth
 
 from .conftest import SHARD0_ROUTER, SHARD1_ROUTER
@@ -279,3 +281,45 @@ class TestHttpPlumbing:
             client_status.close()
         # __exit__ shut the shards down too
         assert not service.available
+
+
+def post_with_length(gateway, content_length, body=b"{}"):
+    """POST /v1/jobs over a raw socket with a verbatim Content-Length.
+
+    Returns (status, document, bytes read after the response): the
+    server must close the connection, so that last read is ``b""``.
+    The client timeout turns a handler that waits on the body into a
+    failure instead of a hang.
+    """
+    with socket.create_connection((gateway.host, gateway.port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + content_length + b"\r\n\r\n" + body
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        document = json.loads(response.read())
+        return response.status, document, sock.recv(1)
+
+
+class TestContentLength:
+    def test_non_integer_is_400_and_closes(self, gateway):
+        status, doc, tail = post_with_length(gateway, b"abc")
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+        assert tail == b""
+
+    def test_negative_is_400_and_closes(self, gateway):
+        status, doc, tail = post_with_length(gateway, b"-1")
+        assert status == 400
+        assert "Content-Length" in doc["error"]
+        assert tail == b""
+
+    def test_over_the_cap_is_413_and_closes(self, gateway):
+        status, doc, tail = post_with_length(
+            gateway, str(MAX_BODY_BYTES + 1).encode()
+        )
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in doc["error"]
+        assert tail == b""

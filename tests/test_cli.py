@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.cli import main
@@ -20,6 +25,36 @@ class TestDiagnose:
         )
         assert code == 0
         assert "per-day trend" in capsys.readouterr().out
+
+    def test_runs_without_numpy(self):
+        # numpy is a test extra, not a dependency: with it unimportable
+        # the CLI must still import and diagnose
+        script = textwrap.dedent(
+            """
+            import sys
+
+            class BlockNumpy:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" or name.startswith("numpy."):
+                        raise ImportError("numpy is not installed")
+
+            sys.meta_path.insert(0, BlockNumpy())
+            from repro.cli import main
+
+            sys.exit(main(["diagnose", "bgp-month", "--size", "20", "--seed", "2"]))
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "Root Cause" in done.stdout
 
     def test_unknown_scenario_rejected(self, capsys):
         with pytest.raises(SystemExit):
